@@ -8,10 +8,11 @@
 //! [`pex_types::TypeTable::conversion_targets_ref`] lists, so progressively
 //! farther entries correspond to progressively worse type distances.
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
-use pex_model::{Database, MethodId};
+use pex_model::minics::ModelDiff;
+use pex_model::{Database, Method, MethodId};
 use pex_types::wire::{Reader, WireError, WireResult, Writer};
 use pex_types::TypeId;
 
@@ -58,19 +59,43 @@ impl CandidateScratch {
     }
 }
 
+/// One memoized candidate list.
+type MemoCell = OnceLock<Arc<[MethodId]>>;
+
 /// Index from parameter type (receiver included) to declaring methods.
+///
+/// Every table sits behind an `Arc`, so cloning an index is O(1) and an
+/// index that an incremental update leaves valid is shared with the
+/// updated snapshot outright. Rows are kept in method-id order — the
+/// order [`MethodIndex::build`] pushes them in — which is what lets
+/// [`MethodIndex::rebuild_after_update`] patch single rows and still
+/// answer exactly like a fresh build.
 #[derive(Debug, Clone, Default)]
 pub struct MethodIndex {
-    by_param: HashMap<TypeId, Vec<MethodId>>,
+    by_param: Arc<HashMap<TypeId, Arc<[MethodId]>>>,
     /// Methods with at least one argument position (receiver or declared
     /// parameter) — the fallback set when no argument type is known.
-    with_args: Vec<MethodId>,
+    with_args: Arc<[MethodId]>,
     /// Per-type memo of the full deduplicated candidate list, filled on
     /// first lookup — the paper's "grouping computations by type"
     /// optimisation (Section 4.2) hoisted from per-query to per-index.
     /// `OnceLock` cells keep the index `Sync`, so parallel replay workers
-    /// share fills instead of repeating them.
-    memo: Vec<OnceLock<Box<[MethodId]>>>,
+    /// share fills instead of repeating them; clones share the cells too,
+    /// which is sound because a clone indexes the same member surface.
+    memo: Arc<[MemoCell]>,
+}
+
+/// Receiver-first argument types of a method, repeats included: the
+/// allocation-free twin of `Method::full_param_types`.
+fn arg_types(md: &Method) -> impl Iterator<Item = TypeId> + '_ {
+    (!md.is_static())
+        .then(|| md.declaring())
+        .into_iter()
+        .chain(md.params().iter().map(|p| p.ty))
+}
+
+fn empty_memo(n_types: usize) -> Arc<[MemoCell]> {
+    (0..n_types).map(|_| OnceLock::new()).collect()
 }
 
 impl MethodIndex {
@@ -79,23 +104,24 @@ impl MethodIndex {
         let mut by_param: HashMap<TypeId, Vec<MethodId>> = HashMap::new();
         let mut with_args = Vec::new();
         for m in db.methods() {
-            let tys = db.method(m).full_param_types();
-            if tys.is_empty() {
+            let md = db.method(m);
+            if md.full_arity() == 0 {
                 continue;
             }
             with_args.push(m);
-            let mut seen = Vec::new();
-            for ty in tys {
-                if !seen.contains(&ty) {
-                    seen.push(ty);
-                    by_param.entry(ty).or_default().push(m);
+            for ty in arg_types(md) {
+                // Methods arrive in id order, so a repeated type of the
+                // same method is the row's last entry.
+                let row = by_param.entry(ty).or_default();
+                if row.last() != Some(&m) {
+                    row.push(m);
                 }
             }
         }
         MethodIndex {
-            by_param,
-            with_args,
-            memo: (0..db.types().len()).map(|_| OnceLock::new()).collect(),
+            by_param: Arc::new(by_param.into_iter().map(|(t, v)| (t, v.into())).collect()),
+            with_args: with_args.into(),
+            memo: empty_memo(db.types().len()),
         }
     }
 
@@ -106,22 +132,22 @@ impl MethodIndex {
     /// Hash-map entries are written in type-id order so identical indexes
     /// serialize to identical bytes.
     pub fn encode_snapshot(&self, w: &mut Writer) {
-        let mut by_param: Vec<(&TypeId, &Vec<MethodId>)> = self.by_param.iter().collect();
+        let mut by_param: Vec<(&TypeId, &Arc<[MethodId]>)> = self.by_param.iter().collect();
         by_param.sort_unstable_by_key(|(ty, _)| **ty);
         w.put_len(by_param.len());
         for (ty, methods) in by_param {
             w.put_u32(ty.index() as u32);
             w.put_len(methods.len());
-            for m in methods {
+            for m in methods.iter() {
                 w.put_u32(m.index() as u32);
             }
         }
         w.put_len(self.with_args.len());
-        for m in &self.with_args {
+        for m in self.with_args.iter() {
             w.put_u32(m.index() as u32);
         }
         w.put_len(self.memo.len());
-        for cell in &self.memo {
+        for cell in self.memo.iter() {
             match cell.get() {
                 Some(list) => {
                     w.put_bool(true);
@@ -152,7 +178,7 @@ impl MethodIndex {
             for _ in 0..n {
                 methods.push(MethodId::from_index(r.get_id(n_methods, "indexed method")?));
             }
-            if by_param.insert(ty, methods).is_some() {
+            if by_param.insert(ty, methods.into()).is_some() {
                 return Err(WireError::new(format!(
                     "duplicate method index entry for type {}",
                     ty.index()
@@ -183,20 +209,20 @@ impl MethodIndex {
                         r.get_id(n_methods, "memoized candidate")?,
                     ));
                 }
-                let _ = cell.set(list.into_boxed_slice());
+                let _ = cell.set(list.into());
             }
             memo.push(cell);
         }
         Ok(MethodIndex {
-            by_param,
-            with_args,
-            memo,
+            by_param: Arc::new(by_param),
+            with_args: with_args.into(),
+            memo: memo.into(),
         })
     }
 
     /// Methods with a parameter of *exactly* this type.
     pub fn exact(&self, ty: TypeId) -> &[MethodId] {
-        self.by_param.get(&ty).map(Vec::as_slice).unwrap_or(&[])
+        self.by_param.get(&ty).map_or(&[], |row| row)
     }
 
     /// Methods that can accept an argument of type `ty` in some position:
@@ -283,7 +309,7 @@ impl MethodIndex {
             // — deterministic for any thread count. Hits are derived as
             // lookups − fills.
             pex_obs::counter!("index.candidates.fills", 1);
-            self.candidates_for(db, ty).into_boxed_slice()
+            self.candidates_for(db, ty).into()
         })
     }
 
@@ -302,7 +328,7 @@ impl MethodIndex {
             .memo
             .get(ty.index())
             .expect("type declared after MethodIndex::build; rebuild the index");
-        cell.get_or_init(|| self.candidates_for(db, ty).into_boxed_slice())
+        cell.get_or_init(|| self.candidates_for(db, ty).into())
     }
 
     /// [`MethodIndex::candidate_count`] served from the per-type memo:
@@ -311,38 +337,99 @@ impl MethodIndex {
         self.candidates_for_cached(db, ty).len()
     }
 
+    /// Whether two indexes share their tables: one is an O(1) clone of the
+    /// other, or an incremental update left the index valid and shared it.
+    pub fn shares_tables_with(&self, other: &MethodIndex) -> bool {
+        Arc::ptr_eq(&self.by_param, &other.by_param)
+            && Arc::ptr_eq(&self.with_args, &other.with_args)
+            && Arc::ptr_eq(&self.memo, &other.memo)
+    }
+
     /// The fallback candidate set: every method with at least one argument
     /// position. Used when a query provides no typed argument at all.
     pub fn all_with_args(&self) -> &[MethodId] {
         &self.with_args
     }
 
-    /// Rebuilds the index over an incrementally patched database, carrying
-    /// over every memoized candidate list the edit cannot have changed.
+    /// The index for an incrementally patched database, reusing every
+    /// part the edit cannot have changed.
     ///
-    /// The `by_param` and `with_args` tables rebuild wholesale (one linear
-    /// pass over live methods); the expensive part — the per-type
-    /// deduplicated supertype walks in `memo` — is retained for every type
-    /// whose conversion-target list on the *new* table avoids `dirty`
-    /// (dirty types ∪ dirty parameter types from the model diff): a cell's
-    /// contents change only if some target's exact entry moved (that
-    /// target is a dirty parameter type) or the target list itself moved
-    /// (some type on the new list is dirty — hierarchy edits dirty the
-    /// edited type, which stays on the walk). Returns
-    /// `(index, cells dropped, cells kept)`.
+    /// `self` must index the database `diff` was computed against and
+    /// `dirty` hold the diff's dirty types and dirty parameter types. An
+    /// edit that changed no signature and no type leaves the whole index
+    /// valid, so it is shared as is. Otherwise only the rows the edit can
+    /// have moved are rewritten: each dirty parameter type's `by_param`
+    /// row and the `with_args` list lose the changed methods and regain
+    /// those that still qualify, in id order, exactly as
+    /// [`MethodIndex::build`] would file them. A memoized candidate list
+    /// is kept when its type's conversion-target walk on the *new* table
+    /// avoids `dirty`: a list changes only if some target's row moved
+    /// (that target is a dirty parameter type) or the target walk itself
+    /// moved (hierarchy edits dirty the edited type, which stays on the
+    /// walk). Returns `(index, cells dropped, cells kept)`.
     ///
     /// Requires the new table's conversion index to be installed already.
     pub fn rebuild_after_update(
         &self,
         new_db: &Database,
-        dirty: &std::collections::HashSet<TypeId>,
+        diff: &ModelDiff,
+        dirty: &HashSet<TypeId>,
     ) -> (MethodIndex, usize, usize) {
-        let fresh = MethodIndex::build(new_db);
+        let filled = self.memo.iter().filter(|c| c.get().is_some()).count();
+        if dirty.is_empty()
+            && diff.changed_methods.is_empty()
+            && self.memo.len() == new_db.types().len()
+        {
+            return (self.clone(), 0, filled);
+        }
+        let changed = &diff.changed_methods;
+        let is_changed = |m: &MethodId| changed.binary_search(m).is_ok();
+        let live = |m: &&MethodId| !new_db.method_removed(**m);
+        let (by_param, with_args) = if changed.is_empty() {
+            (Arc::clone(&self.by_param), Arc::clone(&self.with_args))
+        } else {
+            let mut by_param = (*self.by_param).clone();
+            for &ty in &diff.dirty_param_types {
+                let mut row: Vec<MethodId> = self
+                    .exact(ty)
+                    .iter()
+                    .copied()
+                    .filter(|m| !is_changed(m))
+                    .collect();
+                row.extend(
+                    changed
+                        .iter()
+                        .filter(live)
+                        .filter(|&&m| arg_types(new_db.method(m)).any(|t| t == ty)),
+                );
+                row.sort_unstable();
+                if row.is_empty() {
+                    by_param.remove(&ty);
+                } else {
+                    by_param.insert(ty, row.into());
+                }
+            }
+            let mut with_args: Vec<MethodId> = self
+                .with_args
+                .iter()
+                .copied()
+                .filter(|m| !is_changed(m))
+                .collect();
+            with_args.extend(
+                changed
+                    .iter()
+                    .filter(live)
+                    .filter(|&&m| new_db.method(m).full_arity() > 0),
+            );
+            with_args.sort_unstable();
+            (Arc::new(by_param), with_args.into())
+        };
+        let memo = empty_memo(new_db.types().len());
         let mut dropped = 0usize;
         let mut kept = 0usize;
         for (i, cell) in self.memo.iter().enumerate() {
             let Some(list) = cell.get() else { continue };
-            if i >= fresh.memo.len() {
+            if i >= memo.len() {
                 dropped += 1;
                 continue;
             }
@@ -355,11 +442,16 @@ impl MethodIndex {
             if stale {
                 dropped += 1;
             } else {
-                let _ = fresh.memo[i].set(list.clone());
+                let _ = memo[i].set(Arc::clone(list));
                 kept += 1;
             }
         }
-        (fresh, dropped, kept)
+        let index = MethodIndex {
+            by_param,
+            with_args,
+            memo,
+        };
+        (index, dropped, kept)
     }
 }
 

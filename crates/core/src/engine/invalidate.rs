@@ -7,15 +7,17 @@
 //! - the [`ConversionIndex`] is partially
 //!   rebuilt (rows whose target walk avoids the dirty types are reused)
 //!   and only when a hierarchy edge moved at all;
-//! - [`MethodIndex`] candidate-memo cells survive unless their
-//!   conversion-target walk intersects the dirty parameter/type set;
+//! - the [`MethodIndex`] is shared outright when no signature and no type
+//!   changed; otherwise only the changed methods' rows are rewritten and
+//!   candidate-memo cells survive unless their conversion-target walk
+//!   intersects the dirty parameter/type set;
 //! - successor-memo entries survive unless
 //!   the keyed type's member-lookup chain (in either database) touches a
 //!   dirty type;
 //! - the [`ReachIndex`] and its pruner memo are rebuilt only when the
 //!   reachability edge universe changed (reach is transitive, so any edge
 //!   edit may move distances arbitrarily far away — partial rebuild is
-//!   not sound there);
+//!   not sound there), and shared (an O(1) clone) otherwise;
 //! - the hash-consing arena is carried over wholesale: positional ids are
 //!   stable across updates, so every interned expression stays valid.
 //!
@@ -96,13 +98,14 @@ pub fn refresh_derived(
         .copied()
         .collect();
 
-    let (index, cand_dropped, cand_kept) = old_index.rebuild_after_update(new_db, &dirty);
+    let (index, cand_dropped, cand_kept) = old_index.rebuild_after_update(new_db, diff, &dirty);
     stats.candidates = cand_dropped;
     stats.candidates_kept = cand_kept;
 
     // Reach is transitive: a single edge edit can move distances for types
     // arbitrarily far upstream, so the index and its pruner tables rebuild
-    // wholesale — but only when the edge universe actually changed.
+    // wholesale — but only when the edge universe actually changed. The
+    // clone otherwise shares the tables.
     let reach = if diff.reach_changed {
         stats.reach_rebuilt = true;
         ReachIndex::build(new_db)

@@ -16,6 +16,7 @@
 //! tested in `tests/prop_engine.rs` and enforced by the ablation bench).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pex_model::Database;
 use pex_types::wire::{Reader, WireError, WireResult, Writer};
@@ -24,10 +25,14 @@ use pex_types::TypeId;
 use super::chains::{ChainLink, TypeFilter};
 
 /// Per-type minimum-lookup reachability, for both link kinds.
+///
+/// The tables are immutable once built and sit behind `Arc`s, so cloning
+/// the index is O(1): an incremental update that leaves reachability
+/// untouched shares it with the updated snapshot.
 #[derive(Debug, Clone)]
 pub struct ReachIndex {
-    fields: Vec<HashMap<TypeId, u32>>,
-    fields_and_methods: Vec<HashMap<TypeId, u32>>,
+    fields: Arc<[HashMap<TypeId, u32>]>,
+    fields_and_methods: Arc<[HashMap<TypeId, u32>]>,
 }
 
 impl ReachIndex {
@@ -88,8 +93,8 @@ impl ReachIndex {
                 .collect()
         };
         ReachIndex {
-            fields: bfs(None),
-            fields_and_methods: bfs(Some(&method_edges)),
+            fields: bfs(None).into(),
+            fields_and_methods: bfs(Some(&method_edges)).into(),
         }
     }
 
@@ -144,9 +149,16 @@ impl ReachIndex {
         let fields = decode_maps("field reachability map count")?;
         let fields_and_methods = decode_maps("field+method reachability map count")?;
         Ok(ReachIndex {
-            fields,
-            fields_and_methods,
+            fields: fields.into(),
+            fields_and_methods: fields_and_methods.into(),
         })
+    }
+
+    /// Whether two indexes share their tables (see
+    /// [`super::MethodIndex::shares_tables_with`]).
+    pub fn shares_tables_with(&self, other: &ReachIndex) -> bool {
+        Arc::ptr_eq(&self.fields, &other.fields)
+            && Arc::ptr_eq(&self.fields_and_methods, &other.fields_and_methods)
     }
 
     /// Minimum lookups from `from` to `to` with the given link kind, if

@@ -3,6 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use pex_types::{TypeId, TypeTable};
 
@@ -103,13 +104,20 @@ pub enum GlobalRef {
 /// A `Database` is built either programmatically (`add_*` methods) or from
 /// mini-C# source via [`crate::minics::compile`]. It is immutable during
 /// completion; the engine and the abstract-type inference only read it.
+///
+/// Cloning is copy-on-write. Member rows stay flat (queries index them
+/// directly) but every heap part of a row — names, parameter lists,
+/// bodies — and every per-type member list is `Arc`-shared, so a clone
+/// allocates nothing per member. An incremental update mutates its clone
+/// row by row; each mutator replaces only the parts it rewrites, and
+/// dropping the superseded database frees only those.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     types: TypeTable,
     methods: Vec<Method>,
     fields: Vec<Field>,
-    type_methods: HashMap<TypeId, Vec<MethodId>>,
-    type_fields: HashMap<TypeId, Vec<FieldId>>,
+    type_methods: HashMap<TypeId, Arc<Vec<MethodId>>>,
+    type_fields: HashMap<TypeId, Arc<Vec<FieldId>>>,
     // Member ids are positional and shared by every derived structure
     // (arena nodes, memo keys, index rows), so an incremental update can
     // never compact the arenas. Removal tombstones the id instead: the row
@@ -117,6 +125,9 @@ pub struct Database {
     // every live iteration and lookup skips it.
     removed_methods: HashSet<MethodId>,
     removed_fields: HashSet<FieldId>,
+    // Whether every override edge is the one the mini-C# linking rule
+    // derives (see `overrides_linked`).
+    overrides_linked: bool,
 }
 
 impl Database {
@@ -135,6 +146,7 @@ impl Database {
             type_fields: HashMap::new(),
             removed_methods: HashSet::new(),
             removed_fields: HashSet::new(),
+            overrides_linked: false,
         }
     }
 
@@ -165,25 +177,19 @@ impl Database {
         removed_methods: HashSet<MethodId>,
         removed_fields: HashSet<FieldId>,
     ) -> Self {
-        let mut type_methods: HashMap<TypeId, Vec<MethodId>> = HashMap::new();
+        let mut type_methods: HashMap<TypeId, Arc<Vec<MethodId>>> = HashMap::new();
         for (i, m) in methods.iter().enumerate() {
             if removed_methods.contains(&MethodId(i as u32)) {
                 continue;
             }
-            type_methods
-                .entry(m.declaring)
-                .or_default()
-                .push(MethodId(i as u32));
+            Arc::make_mut(type_methods.entry(m.declaring).or_default()).push(MethodId(i as u32));
         }
-        let mut type_fields: HashMap<TypeId, Vec<FieldId>> = HashMap::new();
+        let mut type_fields: HashMap<TypeId, Arc<Vec<FieldId>>> = HashMap::new();
         for (i, f) in fields.iter().enumerate() {
             if removed_fields.contains(&FieldId(i as u32)) {
                 continue;
             }
-            type_fields
-                .entry(f.declaring)
-                .or_default()
-                .push(FieldId(i as u32));
+            Arc::make_mut(type_fields.entry(f.declaring).or_default()).push(FieldId(i as u32));
         }
         Database {
             types,
@@ -193,6 +199,7 @@ impl Database {
             type_fields,
             removed_methods,
             removed_fields,
+            overrides_linked: false,
         }
     }
 
@@ -213,16 +220,16 @@ impl Database {
     ) -> MethodId {
         let id = MethodId(self.methods.len() as u32);
         self.methods.push(Method {
-            name: name.to_owned(),
+            name: name.into(),
             declaring,
             is_static,
-            params,
+            params: params.into(),
             ret,
             visibility,
             overrides: None,
             body: None,
         });
-        self.type_methods.entry(declaring).or_default().push(id);
+        Arc::make_mut(self.type_methods.entry(declaring).or_default()).push(id);
         id
     }
 
@@ -243,7 +250,7 @@ impl Database {
         if self
             .type_fields
             .get(&declaring)
-            .map(|fs| fs.iter().any(|f| self.fields[f.index()].name == name))
+            .map(|fs| fs.iter().any(|f| &*self.fields[f.index()].name == name))
             .unwrap_or(false)
         {
             return Err(ModelError::DuplicateField {
@@ -252,14 +259,14 @@ impl Database {
         }
         let id = FieldId(self.fields.len() as u32);
         self.fields.push(Field {
-            name: name.to_owned(),
+            name: name.into(),
             declaring,
             is_static,
             ty,
             visibility,
             is_property,
         });
-        self.type_fields.entry(declaring).or_default().push(id);
+        Arc::make_mut(self.type_fields.entry(declaring).or_default()).push(id);
         Ok(id)
     }
 
@@ -270,20 +277,35 @@ impl Database {
 
     /// Attaches a body to a method (replacing any previous one).
     pub fn set_body(&mut self, method: MethodId, body: Body) {
-        self.methods[method.index()].body = Some(body);
+        self.methods[method.index()].body = Some(Arc::new(body));
     }
 
     /// Records that `method` overrides `base` (for abstract-type sharing).
     pub fn set_overrides(&mut self, method: MethodId, base: MethodId) {
         self.methods[method.index()].overrides = Some(base);
+        self.overrides_linked = false;
     }
 
-    /// Clears every override edge, so an incremental update can re-link
-    /// them after member signatures changed.
-    pub(crate) fn clear_all_overrides(&mut self) {
-        for m in &mut self.methods {
-            m.overrides = None;
-        }
+    /// Sets or clears a method's override edge as the linking rule derived
+    /// it (an incremental update re-links only the methods its edit can
+    /// have moved).
+    pub(crate) fn set_override_edge(&mut self, method: MethodId, base: Option<MethodId>) {
+        self.methods[method.index()].overrides = base;
+    }
+
+    /// Whether every override edge is the one the mini-C# linking rule
+    /// derives: true for compiled models and kept true by incremental
+    /// updates, false for hand-built or decoded models and after any
+    /// [`Database::set_overrides`]. An incremental update may re-link only
+    /// the methods its edit touches when this holds, and re-links every
+    /// method otherwise.
+    pub(crate) fn overrides_linked(&self) -> bool {
+        self.overrides_linked
+    }
+
+    /// Records that every override edge is now rule-derived.
+    pub(crate) fn set_overrides_linked(&mut self) {
+        self.overrides_linked = true;
     }
 
     /// Drops a method's body (an update replaced a concrete declaration
@@ -304,7 +326,7 @@ impl Database {
         m.body = None;
         m.overrides = None;
         if let Some(list) = self.type_methods.get_mut(&m.declaring) {
-            list.retain(|&x| x != id);
+            Arc::make_mut(list).retain(|&x| x != id);
         }
     }
 
@@ -315,7 +337,7 @@ impl Database {
         }
         let declaring = self.fields[id.index()].declaring;
         if let Some(list) = self.type_fields.get_mut(&declaring) {
-            list.retain(|&x| x != id);
+            Arc::make_mut(list).retain(|&x| x != id);
         }
     }
 
@@ -332,7 +354,7 @@ impl Database {
     ) {
         let m = &mut self.methods[id.index()];
         m.is_static = is_static;
-        m.params = params;
+        m.params = params.into();
         m.ret = ret;
         m.visibility = visibility;
         m.body = None;
@@ -401,12 +423,12 @@ impl Database {
 
     /// Methods declared directly on a type.
     pub fn methods_of(&self, ty: TypeId) -> &[MethodId] {
-        self.type_methods.get(&ty).map(Vec::as_slice).unwrap_or(&[])
+        self.type_methods.get(&ty).map_or(&[], |l| l.as_slice())
     }
 
     /// Fields declared directly on a type.
     pub fn fields_of(&self, ty: TypeId) -> &[FieldId] {
-        self.type_fields.get(&ty).map(Vec::as_slice).unwrap_or(&[])
+        self.type_fields.get(&ty).map_or(&[], |l| l.as_slice())
     }
 
     /// Follows override edges to the root definition of a method.
@@ -582,7 +604,7 @@ impl Database {
                 let fd = self.field(*f);
                 if !fd.is_static {
                     return Err(ModelError::BadMemberAccess {
-                        name: fd.name.clone(),
+                        name: fd.name.to_string(),
                     });
                 }
                 Ok(ValueTy::Known(fd.ty))
@@ -591,7 +613,7 @@ impl Database {
                 let fd = self.field(*f);
                 if fd.is_static {
                     return Err(ModelError::BadMemberAccess {
-                        name: fd.name.clone(),
+                        name: fd.name.to_string(),
                     });
                 }
                 let base_ty = self.expr_ty(base, ctx)?;
@@ -603,7 +625,7 @@ impl Database {
                 let expected = md.full_arity();
                 if args.len() != expected {
                     return Err(ModelError::BadArity {
-                        name: md.name.clone(),
+                        name: md.name.to_string(),
                         expected,
                         actual: args.len(),
                     });
@@ -677,7 +699,7 @@ impl Database {
                 let fd = self.field(*f);
                 if !fd.is_static {
                     return Err(ModelError::BadMemberAccess {
-                        name: fd.name.clone(),
+                        name: fd.name.to_string(),
                     });
                 }
                 Ok(ValueTy::Known(fd.ty))
@@ -686,7 +708,7 @@ impl Database {
                 let fd = self.field(*f);
                 if fd.is_static {
                     return Err(ModelError::BadMemberAccess {
-                        name: fd.name.clone(),
+                        name: fd.name.to_string(),
                     });
                 }
                 let base_ty = self.expr_ty_interned(arena, *base, ctx)?;
@@ -698,7 +720,7 @@ impl Database {
                 let expected = md.full_arity();
                 if args.len() != expected {
                     return Err(ModelError::BadArity {
-                        name: md.name.clone(),
+                        name: md.name.to_string(),
                         expected,
                         actual: args.len(),
                     });
@@ -1047,5 +1069,107 @@ mod tests {
             .unwrap();
         assert!(!db.instance_fields(line, None).contains(&hidden));
         assert!(db.instance_fields(line, Some(line)).contains(&hidden));
+    }
+
+    fn compiled() -> Database {
+        crate::minics::compile(
+            r#"
+            namespace Geo {
+                class Shape {
+                    double Scale;
+                    double Area(Geo.Shape other) { return this.Scale; }
+                    int Rank() { return 1; }
+                }
+                class Circle : Geo.Shape {
+                    double Area(Geo.Shape other) { return other.Scale; }
+                }
+            }
+            "#,
+        )
+        .unwrap()
+    }
+
+    fn encoded(db: &Database) -> Vec<u8> {
+        let mut w = pex_types::wire::Writer::new();
+        db.encode_snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn clone_shares_names_params_bodies_and_member_lists() {
+        let db = compiled();
+        let copy = db.clone();
+        let mut bodies = 0;
+        for m in db.methods() {
+            let (a, b) = (&db.methods[m.index()], &copy.methods[m.index()]);
+            assert!(Arc::ptr_eq(&a.name, &b.name));
+            assert!(Arc::ptr_eq(&a.params, &b.params));
+            if let (Some(x), Some(y)) = (&a.body, &b.body) {
+                assert!(Arc::ptr_eq(x, y));
+                bodies += 1;
+            }
+        }
+        assert_eq!(bodies, 3);
+        for f in db.fields() {
+            assert!(Arc::ptr_eq(
+                &db.fields[f.index()].name,
+                &copy.fields[f.index()].name
+            ));
+        }
+        for (ty, list) in &db.type_methods {
+            assert!(Arc::ptr_eq(list, &copy.type_methods[ty]));
+        }
+        for (ty, list) in &db.type_fields {
+            assert!(Arc::ptr_eq(list, &copy.type_fields[ty]));
+        }
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_base_bytes_unchanged() {
+        let db = compiled();
+        let before = encoded(&db);
+        let rank = db.find_method("Geo.Shape.Rank").unwrap();
+        let area = db.find_method("Geo.Circle.Area").unwrap();
+        let scale = db.find_field("Geo.Shape.Scale").unwrap();
+
+        let mut copy = db.clone();
+        copy.set_body(rank, Body::default());
+        copy.replace_method_signature(
+            area,
+            true,
+            vec![Param {
+                name: "x".into(),
+                ty: db.types().int_ty(),
+            }],
+            db.types().int_ty(),
+            Visibility::Private,
+        );
+        copy.remove_method(rank);
+        copy.remove_field(scale);
+        copy.add_method(
+            db.method(rank).declaring(),
+            "Fresh",
+            false,
+            vec![],
+            db.types().int_ty(),
+            Visibility::Public,
+        );
+        assert_ne!(encoded(&copy), before);
+        assert_eq!(encoded(&db), before);
+        // Only the rewritten rows and lists stopped sharing.
+        let shape = db.method(rank).declaring();
+        assert!(!Arc::ptr_eq(
+            &db.type_methods[&shape],
+            &copy.type_methods[&shape]
+        ));
+        assert!(!Arc::ptr_eq(
+            &db.methods[area.index()].params,
+            &copy.methods[area.index()].params
+        ));
+        let other = db.find_method("Geo.Shape.Area").unwrap();
+        assert!(Arc::ptr_eq(
+            db.methods[other.index()].body.as_ref().unwrap(),
+            copy.methods[other.index()].body.as_ref().unwrap()
+        ));
     }
 }

@@ -1,4 +1,12 @@
 //! Methods, parameters and fields/properties.
+//!
+//! Member rows are flat structs whose heap parts (names, parameter lists,
+//! bodies) are `Arc`-shared: cloning a row, and so a whole
+//! [`crate::Database`], bumps reference counts instead of copying strings
+//! and statement trees, and an incremental update replaces only the parts
+//! it rewrites.
+
+use std::sync::Arc;
 
 use pex_types::TypeId;
 
@@ -33,14 +41,14 @@ pub struct Param {
 /// exposes the receiver-first view.
 #[derive(Debug, Clone)]
 pub struct Method {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) declaring: TypeId,
     pub(crate) is_static: bool,
-    pub(crate) params: Vec<Param>,
+    pub(crate) params: Arc<[Param]>,
     pub(crate) ret: TypeId,
     pub(crate) visibility: Visibility,
     pub(crate) overrides: Option<MethodId>,
-    pub(crate) body: Option<Body>,
+    pub(crate) body: Option<Arc<Body>>,
 }
 
 impl Method {
@@ -83,7 +91,7 @@ impl Method {
     /// The method body, when the model includes one (client code does,
     /// library surface usually does not).
     pub fn body(&self) -> Option<&Body> {
-        self.body.as_ref()
+        self.body.as_deref()
     }
 
     /// Number of arguments a call carries: declared parameters plus one for
@@ -113,7 +121,7 @@ impl Method {
 /// rendering fidelity; the engine treats them identically).
 #[derive(Debug, Clone)]
 pub struct Field {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) declaring: TypeId,
     pub(crate) is_static: bool,
     pub(crate) ty: TypeId,

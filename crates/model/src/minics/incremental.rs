@@ -17,11 +17,17 @@
 //! members keep their relative order (in-place replacement guarantees
 //! this) — see `tests/incremental_equiv.rs`.
 //!
-//! The base database is never touched: the patch runs on a clone, so any
-//! parse or resolution error leaves the caller's model byte-identical
-//! (the protocol layer relies on this for its atomic-update guarantee).
+//! The base database is never touched, so any parse or resolution error
+//! leaves the caller's model byte-identical (the protocol layer relies on
+//! this for its atomic-update guarantee). The patched model is a
+//! copy-on-write [`Database::clone`] of the base: it shares every name,
+//! parameter list, body and per-type member list with it, and the patch
+//! replaces only the rows and lists it rewrites. An edit therefore costs
+//! what it touches, and the two models share everything else until the
+//! superseded one is dropped.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use pex_types::TypeId;
 
@@ -44,6 +50,9 @@ pub struct ModelDiff {
     /// Candidate-memo cells whose conversion targets intersect this set
     /// are stale.
     pub dirty_param_types: Vec<TypeId>,
+    /// Methods whose signature was overwritten, added or tombstoned: the
+    /// method-index rows the update can have moved.
+    pub changed_methods: Vec<MethodId>,
     /// Methods whose signature was untouched but whose body changed.
     /// These invalidate nothing in the engine caches; they only matter to
     /// abstract-type inference, which is rebuilt per query site.
@@ -106,9 +115,9 @@ struct TypePatch<'a> {
 }
 
 /// Body work queued until the whole member surface is patched: the method,
-/// its namespace path, its pre-patch body (for no-op detection), and the
-/// unresolved statements.
-type BodyWork<'a> = (MethodId, &'a [String], Option<Body>, &'a [ast::Stmt]);
+/// its namespace path, its pre-patch body (shared, for no-op detection),
+/// and the unresolved statements.
+type BodyWork<'a> = (MethodId, &'a [String], Option<Arc<Body>>, &'a [ast::Stmt]);
 
 /// Re-parses one compilation unit and patches `base` with it.
 ///
@@ -121,18 +130,19 @@ type BodyWork<'a> = (MethodId, &'a [String], Option<Body>, &'a [ast::Stmt]);
 /// # Errors
 ///
 /// Any parse or resolution error is returned with its source position and
-/// `base` is left untouched (the patch runs on a clone).
+/// `base` is left untouched (the patch runs on a copy-on-write clone).
 pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, ModelDiff)> {
     let file = super::parse(source)?;
     let mut db = base.clone();
     let mut diff = ModelDiff::default();
     let mut dirty_types: HashSet<TypeId> = HashSet::new();
     let mut dirty_params: HashSet<TypeId> = HashSet::new();
+    let mut changed_methods: Vec<MethodId> = Vec::new();
 
     // Pass 1: declare or match types.
     let mut patches: Vec<TypePatch<'_>> = Vec::new();
     for ns_decl in &file.namespaces {
-        let ns = db.types_mut().namespaces_mut().intern(&ns_decl.path);
+        let ns = db.types_mut().intern_namespace(&ns_decl.path);
         for decl in &ns_decl.types {
             let existing = db.types().lookup(ns, &decl.name);
             let ty = match existing {
@@ -381,6 +391,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                         for p in md.full_param_types() {
                             dirty_params.insert(p);
                         }
+                        changed_methods.push(old);
                         diff.signatures_changed += 1;
                         type_dirty = true;
                         break;
@@ -405,6 +416,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
             for p in db.method(id).full_param_types() {
                 dirty_params.insert(p);
             }
+            changed_methods.push(id);
             diff.members_added += 1;
             type_dirty = true;
         }
@@ -414,6 +426,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                     dirty_params.insert(p);
                 }
                 db.remove_method(old);
+                changed_methods.push(old);
                 diff.members_removed += 1;
                 type_dirty = true;
             }
@@ -482,7 +495,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
         for want in &want_methods {
             let id = want.id.expect("every declaration matched or minted");
             if let Some(stmts) = want.body {
-                let old_body = db.method(id).body().cloned();
+                let old_body = db.method(id).body.clone();
                 bodies.push((id, patch.ns_path, old_body, stmts));
             } else if db.method(id).body().is_some() {
                 // Declaration went bodiless while the model has a body —
@@ -493,10 +506,12 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
         }
     }
 
-    // Pass 4: re-link overrides when any signature or hierarchy moved.
+    // Pass 4: re-link overrides when any signature or hierarchy moved —
+    // only along chains that meet a dirty type when the base's edges are
+    // rule-derived, every method otherwise.
     if member_surface_changed || diff.hierarchy_changed {
-        db.clear_all_overrides();
-        link_overrides(&mut db);
+        let scope = base.overrides_linked().then_some(&dirty_types);
+        link_overrides(&mut db, scope);
     }
 
     // Pass 5: compile bodies against the patched model.
@@ -506,7 +521,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
             let (line, col) = stmts.first().map(stmt_pos).unwrap_or((0, 0));
             return Err(MiniCsError::new(line, col, e.to_string()));
         }
-        if old_body.as_ref() != Some(&body) {
+        if old_body.as_deref() != Some(&body) {
             // Only count as a pure body edit when the member surface of
             // the declaring type survived; re-signatured and new methods
             // are already in the dirty accounting.
@@ -539,6 +554,9 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
     };
     diff.body_edited.sort_unstable();
     diff.body_edited.dedup();
+    changed_methods.sort_unstable();
+    changed_methods.dedup();
+    diff.changed_methods = changed_methods;
     Ok((db, diff))
 }
 
@@ -684,6 +702,28 @@ mod tests {
         let err = apply_update(&db, "namespace Geo { class Shape { int }").unwrap_err();
         assert!(err.line >= 1);
         assert_eq!(db.method_count(), before);
+    }
+
+    #[test]
+    fn supertype_signature_edit_relinks_the_untouched_subtype() {
+        let db = compile(BASE).unwrap();
+        let circle_area = db.find_method("Geo.Circle.GetArea").unwrap();
+        let shape_area = db.find_method("Geo.Shape.GetArea").unwrap();
+        assert_eq!(db.method(circle_area).overrides(), Some(shape_area));
+        assert!(db.overrides_linked());
+        // Only Shape's unit changes, yet Circle's edge moves on up the
+        // chain to the interface method.
+        let shape_only = "namespace Geo { class Shape : Geo.IShape { double Scale; \
+            double GetArea(int k) { return this.Scale; } int Rank() { return 1; } } }";
+        let (patched, diff) = apply_update(&db, shape_only).unwrap();
+        let circle = patched.types().lookup_qualified("Geo.Circle").unwrap();
+        assert!(!diff.dirty_types.contains(&circle), "{diff:?}");
+        let iface_area = db.find_method("Geo.IShape.GetArea").unwrap();
+        assert_eq!(patched.method(circle_area).overrides(), Some(iface_area));
+        assert_eq!(diff.changed_methods, vec![shape_area]);
+        // Reverting links it again.
+        let (reverted, _) = apply_update(&patched, BASE).unwrap();
+        assert_eq!(reverted.method(circle_area).overrides(), Some(shape_area));
     }
 
     #[test]

@@ -42,6 +42,15 @@ pub use resolve::lower;
 use std::error::Error;
 use std::fmt;
 
+/// Deepest nesting the frontend accepts: expressions (parentheses, call
+/// arguments, member chains, assignments, comparisons) and `if`/`while`
+/// blocks together. The parser counts each nesting step and rejects a unit
+/// that passes the cap with a positioned error instead of recursing until
+/// the stack overflows; body lowering keeps the same cap on the tree it
+/// walks. Lowered bodies therefore also stay within the persistent
+/// snapshot's decoding depth.
+pub const MAX_NESTING: usize = 128;
+
 /// An error at a source position, produced by any frontend stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiniCsError {

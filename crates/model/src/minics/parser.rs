@@ -4,21 +4,30 @@ use crate::CmpOp;
 
 use super::ast::{Expr, File, MemberDecl, NsDecl, Stmt, TypeDecl, TypeDeclKind, TypeRef};
 use super::lexer::{Lexer, Token, TokenKind};
-use super::{MiniCsError, MiniCsResult};
+use super::{MiniCsError, MiniCsResult, MAX_NESTING};
 
 /// Parses a compilation unit.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error with its position.
+/// Returns the first lexical or syntactic error with its position,
+/// including nesting deeper than [`MAX_NESTING`].
 pub fn parse(source: &str) -> MiniCsResult<File> {
     let tokens = Lexer::tokenize(source)?;
-    Parser { tokens, pos: 0 }.file()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .file()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth; never below the depth of the tree built so
+    /// far, so capping it caps the AST (and parser recursion) depth.
+    depth: usize,
 }
 
 impl Parser {
@@ -41,6 +50,26 @@ impl Parser {
     fn err_here(&self, msg: impl Into<String>) -> MiniCsError {
         let t = self.peek();
         MiniCsError::new(t.line, t.col, msg)
+    }
+
+    /// Enters one nesting level, failing at the current token once the
+    /// level would pass [`MAX_NESTING`].
+    fn descend(&mut self) -> MiniCsResult<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err_here(format!(
+                "nesting too deep: more than {MAX_NESTING} levels of expressions and blocks"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper (see [`Parser::descend`]).
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> MiniCsResult<T>) -> MiniCsResult<T> {
+        self.descend()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn expect(&mut self, kind: &TokenKind, what: &str) -> MiniCsResult<Token> {
@@ -345,36 +374,10 @@ impl Parser {
 
     fn stmt(&mut self) -> MiniCsResult<Stmt> {
         if self.at_keyword("if") {
-            let t = self.bump();
-            self.expect(&TokenKind::LParen, "`(`")?;
-            let cond = self.expr()?;
-            self.expect(&TokenKind::RParen, "`)`")?;
-            let then_body = self.block()?;
-            let else_body = if self.eat_keyword("else") {
-                self.block()?
-            } else {
-                Vec::new()
-            };
-            return Ok(Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                line: t.line,
-                col: t.col,
-            });
+            return self.nested(Self::if_stmt);
         }
         if self.at_keyword("while") {
-            let t = self.bump();
-            self.expect(&TokenKind::LParen, "`(`")?;
-            let cond = self.expr()?;
-            self.expect(&TokenKind::RParen, "`)`")?;
-            let body = self.block()?;
-            return Ok(Stmt::While {
-                cond,
-                body,
-                line: t.line,
-                col: t.col,
-            });
+            return self.nested(Self::while_stmt);
         }
         if self.at_keyword("return") {
             let t = self.bump();
@@ -410,16 +413,56 @@ impl Parser {
         Ok(Stmt::Expr(e))
     }
 
+    fn if_stmt(&mut self) -> MiniCsResult<Stmt> {
+        let t = self.bump();
+        self.expect(&TokenKind::LParen, "`(`")?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen, "`)`")?;
+        let then_body = self.block()?;
+        let else_body = if self.eat_keyword("else") {
+            self.block()?
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If {
+            cond,
+            then_body,
+            else_body,
+            line: t.line,
+            col: t.col,
+        })
+    }
+
+    fn while_stmt(&mut self) -> MiniCsResult<Stmt> {
+        let t = self.bump();
+        self.expect(&TokenKind::LParen, "`(`")?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen, "`)`")?;
+        let body = self.block()?;
+        Ok(Stmt::While {
+            cond,
+            body,
+            line: t.line,
+            col: t.col,
+        })
+    }
+
     fn expr(&mut self) -> MiniCsResult<Expr> {
-        let lhs = self.cmp_expr()?;
-        if self.eat(&TokenKind::Assign) {
-            let rhs = self.expr()?; // right-associative
-            return Ok(Expr::Assign(Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
+        self.nested(|p| {
+            let lhs = p.cmp_expr()?;
+            if p.eat(&TokenKind::Assign) {
+                let rhs = p.expr()?; // right-associative
+                return Ok(Expr::Assign(Box::new(lhs), Box::new(rhs)));
+            }
+            Ok(lhs)
+        })
     }
 
     fn cmp_expr(&mut self) -> MiniCsResult<Expr> {
+        self.nested(Self::cmp_operands)
+    }
+
+    fn cmp_operands(&mut self) -> MiniCsResult<Expr> {
         let lhs = self.postfix()?;
         let op = match self.peek_kind() {
             TokenKind::Lt => Some(CmpOp::Lt),
@@ -436,9 +479,22 @@ impl Parser {
         Ok(lhs)
     }
 
+    /// A primary expression and its member/call suffixes. Every suffix
+    /// nests the tree one level deeper, so each counts against the cap.
     fn postfix(&mut self) -> MiniCsResult<Expr> {
+        let entry = self.depth;
+        let out = self.postfix_ops();
+        self.depth = entry;
+        out
+    }
+
+    fn postfix_ops(&mut self) -> MiniCsResult<Expr> {
         let mut e = self.primary()?;
         loop {
+            match self.peek_kind() {
+                TokenKind::Dot | TokenKind::LParen => self.descend()?,
+                _ => return Ok(e),
+            }
             match self.peek_kind() {
                 TokenKind::Dot => {
                     self.bump();

@@ -9,14 +9,14 @@
 //! * method overloads are selected by arity and implicit convertibility,
 //!   preferring the lowest total type distance.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pex_types::{PrimKind, TypeId};
 
 use crate::{Body, Database, Expr, LocalId, MethodId, Param, Stmt, ValueTy, Visibility};
 
 use super::ast;
-use super::{MiniCsError, MiniCsResult};
+use super::{MiniCsError, MiniCsResult, MAX_NESTING};
 
 /// Lowers parsed files into a fresh [`Database`].
 ///
@@ -157,7 +157,7 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
     }
 
     // Pass 4: override detection (nearest matching signature up the chain).
-    link_overrides(&mut db);
+    link_overrides(&mut db, None);
 
     // Pass 5: compile bodies.
     for (mid, work, _params, stmts) in method_bodies {
@@ -195,33 +195,67 @@ struct TypeWork<'a> {
 
 /// Links each instance method to the nearest method it overrides: same name,
 /// same parameter types, declared on a strict supertype. Override chains
-/// share abstract-type slots (paper Section 4.1).
-pub(super) fn link_overrides(db: &mut Database) {
+/// share abstract-type slots (paper Section 4.1). Only edges that differ
+/// from the derived one are written.
+///
+/// With `dirty = None` every method is linked. With a dirty type set (after
+/// an edit) only methods whose declaring type's lookup chain (in `db`)
+/// meets it are re-linked: a method's edge depends only on its own signature and the
+/// member lists along that chain, and a chain can only change shape at a
+/// type whose supertype edges moved — a dirty type that is then still on
+/// the chain. Every other edge is already what a full re-link derives,
+/// provided the model's edges were rule-derived to begin with
+/// ([`Database::overrides_linked`]).
+pub(super) fn link_overrides(db: &mut Database, dirty: Option<&HashSet<TypeId>>) {
+    let mut touched: HashMap<TypeId, bool> = HashMap::new();
     let mut links = Vec::new();
     for m in db.methods() {
-        let md = db.method(m);
-        if md.is_static() {
-            continue;
-        }
-        let sig: Vec<TypeId> = md.params().iter().map(|p| p.ty).collect();
-        let chain = db.member_lookup_chain(md.declaring());
-        'search: for owner in chain.into_iter().skip(1) {
-            for &cand in db.methods_of(owner) {
-                let cd = db.method(cand);
-                if !cd.is_static()
-                    && cd.name() == md.name()
-                    && cd.params().len() == sig.len()
-                    && cd.params().iter().zip(&sig).all(|(p, s)| p.ty == *s)
-                {
-                    links.push((m, cand));
-                    break 'search;
-                }
+        let declaring = db.method(m).declaring();
+        if let Some(dirty) = dirty {
+            let hit = *touched.entry(declaring).or_insert_with(|| {
+                db.member_lookup_chain(declaring)
+                    .iter()
+                    .any(|t| dirty.contains(t))
+            });
+            if !hit {
+                continue;
             }
+        }
+        let target = override_target(db, m);
+        if db.method(m).overrides() != target {
+            links.push((m, target));
         }
     }
     for (m, base) in links {
-        db.set_overrides(m, base);
+        db.set_override_edge(m, base);
     }
+    db.set_overrides_linked();
+}
+
+/// The method `m` overrides under the mini-C# rule, if any.
+fn override_target(db: &Database, m: MethodId) -> Option<MethodId> {
+    let md = db.method(m);
+    if md.is_static() {
+        return None;
+    }
+    let chain = db.member_lookup_chain(md.declaring());
+    for owner in chain.into_iter().skip(1) {
+        for &cand in db.methods_of(owner) {
+            let cd = db.method(cand);
+            if !cd.is_static()
+                && cd.name() == md.name()
+                && cd.params().len() == md.params().len()
+                && cd
+                    .params()
+                    .iter()
+                    .zip(md.params())
+                    .all(|(p, s)| p.ty == s.ty)
+            {
+                return Some(cand);
+            }
+        }
+    }
+    None
 }
 
 /// Resolves a source type reference against the enclosing namespace chain,
@@ -290,6 +324,8 @@ struct BodyCompiler<'a> {
     usings: &'a [Vec<String>],
     body: Body,
     local_names: HashMap<String, LocalId>,
+    /// Nesting depth of the tree being lowered, capped at [`MAX_NESTING`].
+    depth: usize,
 }
 
 pub(super) fn compile_body(
@@ -314,6 +350,7 @@ pub(super) fn compile_body(
         usings,
         body,
         local_names,
+        depth: 0,
     };
     for stmt in stmts {
         compiler.stmt(stmt)?;
@@ -400,8 +437,8 @@ impl<'a> BodyCompiler<'a> {
             } => {
                 let (cexpr, cty) = self.value(cond)?;
                 self.require_bool(cty, *line, *col)?;
-                let then_body = self.lower_block(then_body)?;
-                let else_body = self.lower_block(else_body)?;
+                let then_body = self.lower_block(then_body, *line, *col)?;
+                let else_body = self.lower_block(else_body, *line, *col)?;
                 Ok(Stmt::If {
                     cond: cexpr,
                     then_body,
@@ -416,17 +453,40 @@ impl<'a> BodyCompiler<'a> {
             } => {
                 let (cexpr, cty) = self.value(cond)?;
                 self.require_bool(cty, *line, *col)?;
-                let body = self.lower_block(body)?;
+                let body = self.lower_block(body, *line, *col)?;
                 Ok(Stmt::While { cond: cexpr, body })
             }
         }
     }
 
-    fn lower_block(&mut self, stmts: &[ast::Stmt]) -> MiniCsResult<Vec<Stmt>> {
-        stmts
-            .iter()
-            .map(|stmt| self.lower_stmt(stmt, true))
-            .collect()
+    fn lower_block(&mut self, stmts: &[ast::Stmt], line: u32, col: u32) -> MiniCsResult<Vec<Stmt>> {
+        self.nested(line, col, |c| {
+            stmts.iter().map(|stmt| c.lower_stmt(stmt, true)).collect()
+        })
+    }
+
+    /// Runs `f` one nesting level deeper, failing at `line:col` once the
+    /// level would pass [`MAX_NESTING`] (the parser's own cap keeps parsed
+    /// units below it; this guards trees built any other way).
+    fn nested<T>(
+        &mut self,
+        line: u32,
+        col: u32,
+        f: impl FnOnce(&mut Self) -> MiniCsResult<T>,
+    ) -> MiniCsResult<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(MiniCsError::new(
+                line,
+                col,
+                format!(
+                    "nesting too deep: more than {MAX_NESTING} levels of expressions and blocks"
+                ),
+            ));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn require_bool(&self, ty: ValueTy, line: u32, col: u32) -> MiniCsResult<()> {
@@ -465,6 +525,11 @@ impl<'a> BodyCompiler<'a> {
     }
 
     fn resolve(&mut self, e: &ast::Expr) -> MiniCsResult<Res> {
+        let (line, col) = e.pos();
+        self.nested(line, col, |c| c.resolve_node(e))
+    }
+
+    fn resolve_node(&mut self, e: &ast::Expr) -> MiniCsResult<Res> {
         match e {
             ast::Expr::Int(v) => Ok(Res::Value(
                 Expr::IntLit(*v),

@@ -326,7 +326,7 @@ fn encode_method(m: &Method, w: &mut Writer) {
     w.put_u32(m.declaring.index() as u32);
     w.put_bool(m.is_static);
     w.put_len(m.params.len());
-    for p in &m.params {
+    for p in m.params.iter() {
         w.put_str(&p.name);
         w.put_u32(p.ty.index() as u32);
     }
@@ -367,15 +367,15 @@ fn decode_method(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Method> {
         None
     };
     let body = if r.get_bool("body presence flag")? {
-        Some(decode_body(r, bounds)?)
+        Some(decode_body(r, bounds)?.into())
     } else {
         None
     };
     Ok(Method {
-        name,
+        name: name.into(),
         declaring,
         is_static,
-        params,
+        params: params.into(),
         ret,
         visibility,
         overrides,
@@ -394,7 +394,7 @@ fn encode_field(f: &Field, w: &mut Writer) {
 
 fn decode_field(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Field> {
     Ok(Field {
-        name: r.get_str("field name")?,
+        name: r.get_str("field name")?.into(),
         declaring: TypeId::from_index(r.get_id(bounds.types, "field declaring type")?),
         is_static: r.get_bool("field static flag")?,
         ty: TypeId::from_index(r.get_id(bounds.types, "field type")?),

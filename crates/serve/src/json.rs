@@ -9,6 +9,9 @@
 //! * numbers are held as `f64` (request ids and limits are small);
 //! * object keys keep insertion order (a `Vec`, not a map), so re-emitting
 //!   a merged document is stable.
+//!
+//! Arrays and objects nest at most [`MAX_DEPTH`] levels: a deeper line is a
+//! `too_deep` parse error, never a recursion that overflows the stack.
 
 use std::fmt;
 
@@ -151,11 +154,17 @@ impl fmt::Display for ParseError {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. Protocol documents nest
+/// three or four levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -169,6 +178,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -206,8 +217,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -215,6 +226,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err("too_deep: arrays and objects nest too deeply"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -410,6 +436,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).unwrap_err();
+        assert!(err.msg.starts_with("too_deep"), "{err}");
+        assert_eq!(err.pos, MAX_DEPTH);
+        // Far past the cap the parser stops at the same place.
+        let huge = format!("{{\"a\":{}", "[".repeat(200_000));
+        assert_eq!(parse(&huge).unwrap_err().pos, MAX_DEPTH + 4);
     }
 
     #[test]

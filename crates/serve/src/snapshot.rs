@@ -379,4 +379,32 @@ mod tests {
         assert!(snap.context_for(&["noColon".into()]).is_err());
         assert!(snap.context_for(&["p:No.Such.Type".into()]).is_err());
     }
+
+    const UNIT: &str = r#"
+        namespace Geo {
+            class Shape {
+                double Scale;
+                double Area() { return this.Scale; }
+                int Rank() { return 1; }
+            }
+        }
+    "#;
+
+    #[test]
+    fn body_only_update_shares_the_index_and_reach_tables() {
+        let db = pex_model::minics::compile(UNIT).unwrap();
+        let base = Snapshot::from_database("geo".into(), db, Context::empty(), None);
+        let edited = UNIT.replace("return 1;", "return 2;");
+        let (next, stats) = base.apply_update(&edited).unwrap();
+        let next = next.expect("a body edit yields a snapshot");
+        assert_eq!(stats.bodies_edited, 1);
+        assert_eq!(stats.invalidated.total(), 0);
+        assert!(next.index.shares_tables_with(&base.index));
+        assert!(next.reach.shares_tables_with(&base.reach));
+        // A signature edit patches the index into new tables instead.
+        let resigned = UNIT.replace("int Rank() { return 1; }", "int Rank(int k) { return k; }");
+        let (next, _) = base.apply_update(&resigned).unwrap();
+        let next = next.expect("a signature edit yields a snapshot");
+        assert!(!next.index.shares_tables_with(&base.index));
+    }
 }

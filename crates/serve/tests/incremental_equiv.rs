@@ -15,6 +15,12 @@
 //!    (pins surgical cache invalidation alone: whatever survived in the
 //!    memo tables must agree with empty caches).
 //!
+//! The model and index the updates patched in place are pinned directly
+//! too: every method's override edge matches the from-scratch compile
+//! (updates re-link only the chains an edit touches), and every method
+//! index row matches `MethodIndex::build` of the final model (updates
+//! rewrite only the changed methods' rows).
+//!
 //! The final comparison runs from several threads sharing the one
 //! incremental `EngineCache`, so concurrently filled memo cells are
 //! exercised too.
@@ -23,8 +29,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pex_core::{Completer, RankConfig};
-use pex_model::Context;
+use pex_core::{Completer, MethodIndex, RankConfig};
+use pex_model::{Context, Database};
 use pex_serve::snapshot::Snapshot;
 
 /// Everything the generated corpus can be at one instant. Each class
@@ -35,6 +41,9 @@ struct World {
     alpha_body: usize,
     /// `Alpha.Rank()` returns `int` (true) or `double` (false).
     alpha_rank_int: bool,
+    /// `Alpha.Weigh` takes an `int` (true) or a `double` (false); only the
+    /// `int` form is overridden by `Beta.Weigh(int)` when `Beta : Alpha`.
+    alpha_weigh_int: bool,
     /// Whether `Beta` derives from `Alpha`.
     beta_based: bool,
     /// How many `Extra<n>` methods `Gamma` carries (a stack: additions
@@ -48,6 +57,7 @@ impl World {
         World {
             alpha_body: 0,
             alpha_rank_int: true,
+            alpha_weigh_int: true,
             beta_based: false,
             gamma_extras: 0,
         }
@@ -60,15 +70,20 @@ impl World {
             _ => "return Inc.Alpha.Answer(Inc.Alpha.Answer(Seed));",
         };
         let rank_ret = if self.alpha_rank_int { "int" } else { "double" };
+        let weigh = if self.alpha_weigh_int {
+            "int"
+        } else {
+            "double"
+        };
         format!(
-            "namespace Inc {{\n    class Alpha {{\n        int Seed;\n        static int Answer(int x) {{ return x; }}\n        {rank_ret} Rank();\n        int GetSeed() {{ {body} }}\n    }}\n}}\n"
+            "namespace Inc {{\n    class Alpha {{\n        int Seed;\n        static int Answer(int x) {{ return x; }}\n        {rank_ret} Rank();\n        int Weigh({weigh} k);\n        int GetSeed() {{ {body} }}\n    }}\n}}\n"
         )
     }
 
     fn beta_unit(&self) -> String {
         let base = if self.beta_based { " : Alpha" } else { "" };
         format!(
-            "namespace Inc {{\n    class Beta{base} {{\n        double Scale;\n        Inc.Beta Pair(Inc.Alpha other);\n    }}\n}}\n"
+            "namespace Inc {{\n    class Beta{base} {{\n        double Scale;\n        Inc.Beta Pair(Inc.Alpha other);\n        int Weigh(int k);\n        int Rank();\n    }}\n}}\n"
         )
     }
 
@@ -104,6 +119,9 @@ enum Edit {
     Body(usize),
     /// Flip `Alpha.Rank`'s return type: a signature change, same id.
     RankFlip,
+    /// Flip `Alpha.Weigh`'s parameter type: a signature change that moves
+    /// `Beta.Weigh`'s override edge without touching `Beta`.
+    WeighFlip,
     /// Toggle `Beta : Alpha`: a hierarchy (and reachability) change.
     BaseToggle,
     /// Append an `Extra<n>` method to `Gamma` (the last-declared class).
@@ -115,12 +133,13 @@ enum Edit {
 }
 
 fn edits() -> impl Strategy<Value = Vec<Edit>> {
-    let edit = (0usize..6, 0usize..3).prop_map(|(kind, variant)| match kind {
+    let edit = (0usize..7, 0usize..3).prop_map(|(kind, variant)| match kind {
         0 => Edit::Body(variant),
         1 => Edit::RankFlip,
         2 => Edit::BaseToggle,
         3 => Edit::Push,
         4 => Edit::Pop,
+        5 => Edit::WeighFlip,
         _ => Edit::NoopRewrite,
     });
     proptest::collection::vec(edit, 1..10)
@@ -173,6 +192,41 @@ fn scratch_snapshot(source: &str) -> Snapshot {
     Snapshot::from_database("scratch".to_owned(), db, Context::empty(), None)
 }
 
+/// Every live method's override edge, by qualified name (member ids of
+/// the incremental and the from-scratch model may differ after removals).
+fn override_edges(db: &Database) -> Vec<(String, Option<String>)> {
+    let mut edges: Vec<_> = db
+        .methods()
+        .map(|m| {
+            let base = db.method(m).overrides();
+            (
+                db.qualified_method_name(m),
+                base.map(|b| db.qualified_method_name(b)),
+            )
+        })
+        .collect();
+    edges.sort();
+    edges
+}
+
+/// The index an update patched row by row equals a fresh build's rows.
+fn assert_rows_match_a_fresh_build(index: &MethodIndex, db: &Database) {
+    let fresh = MethodIndex::build(db);
+    assert_eq!(index.all_with_args(), fresh.all_with_args());
+    for ty in db.types().iter() {
+        assert_eq!(
+            index.exact(ty),
+            fresh.exact(ty),
+            "row of {}",
+            db.types().qualified_name(ty)
+        );
+        assert_eq!(
+            index.candidates_for_cached(db, ty),
+            fresh.candidates_for(db, ty).as_slice()
+        );
+    }
+}
+
 fn locals() -> Vec<String> {
     LOCALS.iter().map(|s| (*s).to_owned()).collect()
 }
@@ -194,6 +248,10 @@ proptest! {
                 }
                 Edit::RankFlip => {
                     next.alpha_rank_int = !next.alpha_rank_int;
+                    next.alpha_unit()
+                }
+                Edit::WeighFlip => {
+                    next.alpha_weigh_int = !next.alpha_weigh_int;
                     next.alpha_unit()
                 }
                 Edit::BaseToggle => {
@@ -233,6 +291,11 @@ proptest! {
                 snap = Arc::new(patched.expect("non-noop update yields a snapshot"));
             }
             world = next;
+            // The edges and rows an update patched in place match a fresh
+            // compile and a fresh index after every step.
+            let scratch = pex_model::minics::compile(&world.full_source()).unwrap();
+            prop_assert_eq!(override_edges(&snap.db), override_edges(&scratch), "after {:?}", edit);
+            assert_rows_match_a_fresh_build(&snap.index, &snap.db);
         }
 
         // 1. Byte-identical to a from-scratch compile of the final source.

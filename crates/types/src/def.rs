@@ -1,5 +1,7 @@
 //! Type definitions stored in the [`crate::TypeTable`].
 
+use std::sync::Arc;
+
 use crate::{NamespaceId, PrimKind, TypeId};
 
 /// The kind of a type definition.
@@ -29,13 +31,15 @@ pub enum TypeKind {
 /// A single type definition.
 ///
 /// Fields are crate-private behind accessors so the table can maintain
-/// hierarchy invariants (acyclicity, interface-only extends lists).
+/// hierarchy invariants (acyclicity, interface-only extends lists). The
+/// heap parts are `Arc`-shared, so cloning a definition (and with it a
+/// whole [`crate::TypeTable`]) allocates nothing.
 #[derive(Debug, Clone)]
 pub struct TypeDef {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) namespace: NamespaceId,
     pub(crate) kind: TypeKind,
-    pub(crate) interfaces: Vec<TypeId>,
+    pub(crate) interfaces: Arc<[TypeId]>,
     pub(crate) comparable: bool,
 }
 

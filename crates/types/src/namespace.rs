@@ -58,6 +58,13 @@ impl Namespaces {
         self.intern(&segs)
     }
 
+    /// Looks up a previously interned path, given as segments, without
+    /// interning it.
+    pub fn lookup<S: AsRef<str>>(&self, segments: &[S]) -> Option<NamespaceId> {
+        let key: Vec<String> = segments.iter().map(|s| s.as_ref().to_owned()).collect();
+        self.by_path.get(&key).copied()
+    }
+
     /// Looks up a previously interned dotted path without interning it.
     pub fn lookup_dotted(&self, dotted: &str) -> Option<NamespaceId> {
         let key: Vec<String> = if dotted.is_empty() {

@@ -27,11 +27,16 @@ pub struct WellKnown {
 /// C# keywords). User types are added with the `declare_*` methods and wired
 /// up with [`TypeTable::set_base`] / [`TypeTable::add_interface_impl`], which
 /// enforce acyclicity.
+///
+/// Cloning is copy-on-write: the namespace arena and the name map are
+/// `Arc`-shared until a mutator needs its own copy, and every definition
+/// row shares its name and interface list, so a clone costs one flat copy
+/// of the definition rows.
 #[derive(Debug, Clone)]
 pub struct TypeTable {
-    namespaces: Namespaces,
+    namespaces: Arc<Namespaces>,
     types: Vec<TypeDef>,
-    by_name: HashMap<(NamespaceId, String), TypeId>,
+    by_name: Arc<HashMap<(NamespaceId, String), TypeId>>,
     well_known: WellKnown,
     prims: [TypeId; PrimKind::ALL.len()],
     /// Lazily built conversion cache; cleared by every hierarchy mutator
@@ -54,9 +59,9 @@ impl TypeTable {
         let mut namespaces = Namespaces::new();
         let system = namespaces.intern(&["System"]);
         let mut table = TypeTable {
-            namespaces,
+            namespaces: Arc::new(namespaces),
             types: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: Arc::default(),
             // Placeholder ids, fixed up immediately below.
             well_known: WellKnown {
                 object: TypeId(0),
@@ -102,13 +107,13 @@ impl TypeTable {
         self.conv.take();
         let id = TypeId(self.types.len() as u32);
         self.types.push(TypeDef {
-            name: name.to_owned(),
+            name: name.into(),
             namespace,
             kind,
-            interfaces: Vec::new(),
+            interfaces: Arc::default(),
             comparable,
         });
-        self.by_name.insert(key, id);
+        Arc::make_mut(&mut self.by_name).insert(key, id);
         Ok(id)
     }
 
@@ -118,8 +123,18 @@ impl TypeTable {
     }
 
     /// Mutable access to the namespace arena (for interning new paths).
+    /// A table sharing its arena with a clone copies it first.
     pub fn namespaces_mut(&mut self) -> &mut Namespaces {
-        &mut self.namespaces
+        Arc::make_mut(&mut self.namespaces)
+    }
+
+    /// Interns a namespace path, copying a shared arena (see
+    /// [`TypeTable::namespaces_mut`]) only when the path is new.
+    pub fn intern_namespace<S: AsRef<str>>(&mut self, segments: &[S]) -> NamespaceId {
+        match self.namespaces.lookup(segments) {
+            Some(id) => id,
+            None => self.namespaces_mut().intern(segments),
+        }
     }
 
     /// Ids of the always-present types.
@@ -194,17 +209,17 @@ impl TypeTable {
     pub fn set_base(&mut self, class: TypeId, base: TypeId) -> TypeResult<()> {
         if class == self.well_known.object {
             return Err(TypeError::BaseNotAllowed {
-                name: self.get(class).name.clone(),
+                name: self.get(class).name.to_string(),
             });
         }
         if !self.get(class).is_class() {
             return Err(TypeError::NotAClass {
-                name: self.get(class).name.clone(),
+                name: self.get(class).name.to_string(),
             });
         }
         if !self.get(base).is_class() {
             return Err(TypeError::NotAClass {
-                name: self.get(base).name.clone(),
+                name: self.get(base).name.to_string(),
             });
         }
         // Walk up from `base`; reaching `class` means a cycle.
@@ -212,7 +227,7 @@ impl TypeTable {
         while let Some(t) = cur {
             if t == class {
                 return Err(TypeError::InheritanceCycle {
-                    name: self.get(class).name.clone(),
+                    name: self.get(class).name.to_string(),
                 });
             }
             cur = self.declared_base(t);
@@ -234,7 +249,7 @@ impl TypeTable {
     pub fn add_interface_impl(&mut self, ty: TypeId, iface: TypeId) -> TypeResult<()> {
         if !self.get(iface).is_interface() {
             return Err(TypeError::NotAnInterface {
-                name: self.get(iface).name.clone(),
+                name: self.get(iface).name.to_string(),
             });
         }
         if self.get(ty).is_interface() {
@@ -244,7 +259,7 @@ impl TypeTable {
             while let Some(t) = stack.pop() {
                 if t == ty {
                     return Err(TypeError::InheritanceCycle {
-                        name: self.get(ty).name.clone(),
+                        name: self.get(ty).name.to_string(),
                     });
                 }
                 if std::mem::replace(&mut seen[t.index()], true) {
@@ -255,7 +270,7 @@ impl TypeTable {
         }
         let list = &mut self.types[ty.index()].interfaces;
         if !list.contains(&iface) {
-            list.push(iface);
+            *list = list.iter().copied().chain([iface]).collect();
             self.conv.take();
         }
         Ok(())
@@ -274,7 +289,7 @@ impl TypeTable {
         if let TypeKind::Class { base } = &mut self.types[ty.index()].kind {
             *base = None;
         }
-        self.types[ty.index()].interfaces.clear();
+        self.types[ty.index()].interfaces = Arc::default();
         self.conv.take();
     }
 
@@ -332,7 +347,7 @@ impl TypeTable {
         let def = self.get(id);
         let ns = self.namespaces.dotted(def.namespace);
         if ns.is_empty() {
-            def.name.clone()
+            def.name.to_string()
         } else {
             format!("{ns}.{}", def.name)
         }
@@ -404,7 +419,7 @@ impl TypeTable {
                 TypeKind::Void => w.put_u8(5),
             }
             w.put_len(def.interfaces.len());
-            for i in &def.interfaces {
+            for i in def.interfaces.iter() {
                 w.put_u32(i.0);
             }
             w.put_bool(def.comparable);
@@ -483,10 +498,10 @@ impl TypeTable {
                 return Err(WireError::new(format!("duplicate type name '{name}'")));
             }
             types.push(TypeDef {
-                name,
+                name: name.into(),
                 namespace,
                 kind,
-                interfaces,
+                interfaces: interfaces.into(),
                 comparable,
             });
         }
@@ -515,9 +530,9 @@ impl TypeTable {
             let _ = conv.set(Arc::new(index));
         }
         Ok(TypeTable {
-            namespaces,
+            namespaces: Arc::new(namespaces),
             types,
-            by_name,
+            by_name: Arc::new(by_name),
             well_known: WellKnown { object, void },
             prims,
             conv,
